@@ -1,9 +1,11 @@
 package dfs
 
-// Benchmark harness: one benchmark family per experiment row of DESIGN.md
-// (E1–E7). `go test -bench=. -benchmem` regenerates the wall-clock side of
-// every table; cmd/dfsbench prints the model-cost side (depth, work,
-// passes, rounds). Reported custom metrics:
+// Benchmark harness: one benchmark family per experiment E1–E7, the
+// tables cmd/dfsbench prints. `go test -bench=. -benchmem` regenerates the
+// wall-clock side of every table; cmd/dfsbench prints the model-cost side
+// (depth, work, passes, rounds). The repository benchmark, which measures
+// the serving stack end to end, is described in perfbench/README.md.
+// Reported custom metrics:
 //
 //	rounds/op   — critical-path traversal rounds (Theorem 13's polylog)
 //	depth/op    — model PRAM depth charged per update

@@ -1,7 +1,8 @@
-// Command dfsbench regenerates the repository's experiment tables (E1–E7 in
-// DESIGN.md / EXPERIMENTS.md), one table per theorem-level claim of the
-// paper. Each experiment prints a self-contained table; -exp all runs the
-// full set.
+// Command dfsbench prints the repository's experiment tables E1–E7, one
+// table per theorem-level claim of the paper. Each experiment prints a
+// self-contained table; -exp all runs the full set. The repository
+// benchmark, which measures the serving stack end to end, is perfbench,
+// described in perfbench/README.md.
 //
 // Usage:
 //

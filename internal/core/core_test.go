@@ -36,6 +36,32 @@ func TestInsertEdgeBackAndCross(t *testing.T) {
 	}
 }
 
+// TestDeleteEdgeMalformedEndpoints checks that DeleteEdge rejects
+// out-of-range endpoints with an error, before reading the tree, and leaves
+// the maintainer usable.
+func TestDeleteEdgeMalformedEndpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		u, v int
+	}{
+		{"u past the end", 1000, 3},
+		{"u negative", -1, 3},
+		{"v past the end", 3, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dd := NewFullyDynamic(graph.Path(32))
+			if _, err := dd.Apply(Update{Kind: DeleteEdge, U: tc.u, V: tc.v}); err == nil {
+				t.Fatalf("DeleteEdge(%d,%d) on a 32-vertex graph succeeded", tc.u, tc.v)
+			}
+			check(t, dd, "after rejected delete")
+			if _, err := dd.Apply(Update{Kind: DeleteEdge, U: 15, V: 16}); err != nil {
+				t.Fatalf("valid delete after rejected one: %v", err)
+			}
+			check(t, dd, "after valid delete")
+		})
+	}
+}
+
 func TestInsertEdgeCross(t *testing.T) {
 	// Star: tree 0-(1,2,...); insert leaf-leaf cross edge.
 	dd := NewFullyDynamic(graph.Star(6))

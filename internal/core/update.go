@@ -56,11 +56,12 @@ func (dd *DynamicDFS) InsertEdge(u, v int) error {
 // component), or hangs T(v) under the pseudo root if the component split.
 func (dd *DynamicDFS) DeleteEdge(u, v int) error {
 	dd.lastDelta = nil // re-established by installTree on success
-	isTree := dd.t.Parent[v] == u || dd.t.Parent[u] == v
+	// The graph validates the endpoints; only then may the tree be read.
 	ng, err := dd.g.DeleteEdge(u, v)
 	if err != nil {
 		return err
 	}
+	isTree := dd.t.Parent[v] == u || dd.t.Parent[u] == v
 	dd.g = ng
 	dd.d.PatchDeleteEdge(u, v)
 	if !isTree {

@@ -40,12 +40,19 @@
 // search-effort counters go to a caller-supplied per-call *Stats — so any
 // number of goroutines may query one D concurrently between mutations.
 //
+// Queries: a walk is split into base-tree runs, an O(|walk|) scan, before
+// any source is searched. EdgeToWalkBatch splits each distinct walk of a
+// batch once, up front, and every query on that walk shares the result;
+// a single EdgeToWalk call splits its own walk. Worker shards only read
+// the split (see query.go).
+//
 // Execution vs accounting: D runs the paper's parallelism for real. Build
 // sorts the per-vertex neighbor rows across the machine's worker pool, and
-// the EdgeToWalk family shards large source batches over the same pool
-// (see query.go). The machine's recorded depth/work stay purely analytic:
-// Build charges Theorem 8's preprocessing cost in one step, query batches
-// are charged by their callers as single O(log n)-depth steps (Theorems 6
-// and 8), and the execution layer itself charges nothing — so host
-// parallelism changes wall-clock time but never the model costs.
+// the EdgeToWalk family shards large source sets and query batches over
+// the same pool (see query.go). The machine's recorded depth/work stay
+// purely analytic: Build charges Theorem 8's preprocessing cost in one
+// step, query batches are charged by their callers as single
+// O(log n)-depth steps (Theorems 6 and 8), and the execution layer itself
+// charges nothing — so host parallelism changes wall-clock time but never
+// the model costs.
 package dstruct

@@ -1,6 +1,7 @@
 package dstruct
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -151,14 +152,94 @@ func TestParallelEdgeToWalkBySourceMatchesSerial(t *testing.T) {
 	}
 }
 
+// longWalkInTree returns the base-tree path from a random live vertex up
+// to at most 40 ancestors, retrying until it has at least two vertices.
+func longWalkInTree(g *graph.Graph, rng *rand.Rand) ([]int, map[int]bool) {
+	tr := baseline.StaticDFS(g)
+	for {
+		v := rng.Intn(g.NumVertexSlots())
+		if !g.IsVertex(v) {
+			continue
+		}
+		var walk []int
+		onWalk := map[int]bool{}
+		for x := v; x != tr.Root && len(walk) < 40; x = tr.Parent[x] {
+			walk = append(walk, x)
+			onWalk[x] = true
+		}
+		if len(walk) >= 2 {
+			return walk, onWalk
+		}
+	}
+}
+
+// sharedWalkBatch returns queries where most share one walk slice,
+// interleaved with a shorter prefix of the same backing array, an
+// equal-content copy in a different slice, and unrelated walks.
+func sharedWalkBatch(g *graph.Graph, rng *rand.Rand) []WalkQuery {
+	shared, onShared := longWalkInTree(g, rng)
+	prefix := shared[:1+rng.Intn(len(shared)-1)]
+	walks := [][]int{shared, shared, shared, prefix, shared, append([]int(nil), shared...)}
+	onWalks := []map[int]bool{onShared, onShared, onShared, onShared, onShared, onShared}
+	for k := 0; k < 2; k++ {
+		w, on := randomWalkInTree(g, rng)
+		if len(w) > 0 {
+			walks, onWalks = append(walks, w), append(onWalks, on)
+		}
+	}
+	var qs []WalkQuery
+	for q := 0; q < 24; q++ {
+		i := q % len(walks)
+		sources := bigSourceSet(g, onWalks[i])
+		if q%3 == 0 {
+			sources = sources[:rng.Intn(len(sources)+1)]
+		}
+		qs = append(qs, WalkQuery{
+			Sources:  sources,
+			Walk:     walks[i],
+			FromEnd:  rng.Intn(2) == 0,
+			BySource: q%5 == 4,
+		})
+	}
+	return qs
+}
+
+// checkBatchMatchesSequential runs qs as one batch on d and one by one on
+// the serial want, and compares the answers and the per-query counters.
+func checkBatchMatchesSequential(t *testing.T, ctx string, want, d *D, qs []WalkQuery) {
+	t.Helper()
+	var gotSt, wantSt Stats
+	got := d.EdgeToWalkBatch(qs, &gotSt)
+	if len(got) != len(qs) {
+		t.Fatalf("%s: %d answers for %d queries", ctx, len(got), len(qs))
+	}
+	for i, q := range qs {
+		var w WalkAnswer
+		if q.BySource {
+			w.Hit, w.OK = want.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, &wantSt)
+		} else {
+			w.Hit, w.OK = want.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, &wantSt)
+		}
+		if got[i] != w {
+			t.Fatalf("%s query %d (bySource=%v, |walk|=%d): batch %v want %v",
+				ctx, i, q.BySource, len(q.Walk), got[i], w)
+		}
+	}
+	if gotSt.WalkQueries != wantSt.WalkQueries || gotSt.RunsSplit != wantSt.RunsSplit {
+		t.Fatalf("%s: batch counted %d queries / %d runs, sequential %d / %d",
+			ctx, gotSt.WalkQueries, gotSt.RunsSplit, wantSt.WalkQueries, wantSt.RunsSplit)
+	}
+}
+
 func TestEdgeToWalkBatchMatchesSequentialCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for trial := 0; trial < 10; trial++ {
 		n := 600 + rng.Intn(400)
 		g := graph.GnpConnected(n, 5.0/float64(n), rng)
 		serial, parallel, _ := buildPair(g, rng)
+		one := Build(g, baseline.StaticDFS(g), pram.NewMachineWithWorkers(n, 1))
 		if trial%2 == 1 {
-			applyRandomPatches(g, rng, serial, parallel)
+			applyRandomPatches(g, rng, serial, parallel, one)
 		}
 		var qs []WalkQuery
 		for q := 0; q < 12; q++ {
@@ -177,21 +258,15 @@ func TestEdgeToWalkBatchMatchesSequentialCalls(t *testing.T) {
 				BySource: q%4 == 3,
 			})
 		}
-		got := parallel.EdgeToWalkBatch(qs, nil)
-		if len(got) != len(qs) {
-			t.Fatalf("trial %d: %d answers for %d queries", trial, len(got), len(qs))
-		}
-		for i, q := range qs {
-			var want WalkAnswer
-			if q.BySource {
-				want.Hit, want.OK = serial.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, nil)
-			} else {
-				want.Hit, want.OK = serial.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, nil)
-			}
-			if got[i] != want {
-				t.Fatalf("trial %d query %d (bySource=%v): batch %v want %v",
-					trial, i, q.BySource, got[i], want)
-			}
+		shared := sharedWalkBatch(g, rng)
+		for _, c := range []struct {
+			name string
+			d    *D
+		}{{"1 worker", one}, {"8 workers", parallel}} {
+			checkBatchMatchesSequential(t, fmt.Sprintf("trial %d %s random walks", trial, c.name), serial, c.d, qs)
+			checkBatchMatchesSequential(t, fmt.Sprintf("trial %d %s shared walk", trial, c.name), serial, c.d, shared)
+			// Fewer queries than workers: the query-by-query branch.
+			checkBatchMatchesSequential(t, fmt.Sprintf("trial %d %s shared walk, small batch", trial, c.name), serial, c.d, shared[:7])
 		}
 	}
 }

@@ -6,11 +6,15 @@ package dstruct
 // "lowest edge on the path" is the hit with maximum ZPos; "highest" is
 // minimum ZPos.
 //
-// Internally the walk is split into maximal runs that are monotone
-// ancestor-descendant paths of the *base* tree T (Section 5.2's reduction of
-// queries on T*_i paths to queries on T paths). In fully dynamic mode the
-// engine's walks are already T-paths, giving O(1) runs; in fault tolerant
-// mode a walk decomposes into the O(log^{2(i-1)} n) fragments of Theorem 9.
+// Before any source is searched, the walk is split into maximal runs that
+// are monotone ancestor-descendant paths of the *base* tree T (Section
+// 5.2's reduction of queries on T*_i paths to queries on T paths). In fully
+// dynamic mode the engine's walks are already T-paths, giving O(1) runs; in
+// fault tolerant mode a walk decomposes into the O(log^{2(i-1)} n)
+// fragments of Theorem 9. The split is an O(|walk|) scan, so it happens
+// once per distinct walk of a batch, not once per query: EdgeToWalkBatch
+// builds each walk's view (walkEval) up front, a single EdgeToWalk call
+// builds its own, and the shards evaluating queries only read the views.
 //
 // Execution vs accounting: a batch of independent queries is *charged* by
 // the caller as one O(log n)-depth EREW step over k total sources (Theorems
@@ -96,53 +100,58 @@ func (d *D) zPos(r run, walk []int, z int) int {
 	return r.hi - depth
 }
 
-// walkEval is the per-query preprocessed view of a walk: its base-tree run
-// decomposition, plus — on the sharded paths — a walk-position index
-// precomputed once up front. Shards share the index read-only (building it
-// lazily inside workers would race) and its O(|walk|) cost amortizes over
-// the large source set that triggered sharding. Serial scans leave pos nil
-// and build a goroutine-local index lazily, only when a patch edge is
-// actually encountered, so unpatched queries pay nothing.
+// walkEval is a walk's evaluation view: its base-tree run decomposition,
+// plus a walk-position index once a source-sharded scan has needed one.
+// Views are read-only while shards run: a source-sharded scan precomputes
+// the index before fanning out (building it lazily inside workers would
+// race), its O(|walk|) cost amortized over the large source set that
+// triggered sharding. Scans without the index build a goroutine-local one
+// lazily, only when a patch edge is actually encountered, so unpatched
+// queries pay nothing.
 type walkEval struct {
+	walk []int
 	runs []run
-	pos  map[int]int // shared read-only index; nil on the serial paths
+	pos  map[int]int // shared read-only index; nil until a sharded scan needs it
 }
 
-// prepWalk decomposes the walk and counts the query against st.
-func (d *D) prepWalk(walk []int, st *Stats) walkEval {
-	runs := d.splitRuns(walk)
+func (d *D) newWalkEval(walk []int) *walkEval {
+	return &walkEval{walk: walk, runs: d.splitRuns(walk)}
+}
+
+// count records one query on the view in st. WalkQueries and RunsSplit
+// count queries, not splits, so a batch records what its queries issued
+// one by one would.
+func (ev *walkEval) count(st *Stats) {
 	st.WalkQueries++
-	st.RunsSplit += int64(len(runs))
-	return walkEval{runs: runs}
+	st.RunsSplit += int64(len(ev.runs))
 }
 
 // ensureSharedPos precomputes the walk-position index for a sharded
 // evaluation. Only inserted-edge patches consume walk positions, so a D
 // without them never builds the index.
-func (d *D) ensureSharedPos(ev *walkEval, walk []int) {
+func (d *D) ensureSharedPos(ev *walkEval) {
 	if ev.pos == nil && len(d.inserted) > 0 {
-		ev.pos = make(map[int]int, len(walk))
-		for i, v := range walk {
+		ev.pos = make(map[int]int, len(ev.walk))
+		for i, v := range ev.walk {
 			ev.pos[v] = i
 		}
 	}
 }
 
 // posLookup resolves walk positions for patch-edge hits: through the
-// precomputed shared index when present, else through a private map built
-// on first use.
+// view's shared index when present, else through a private map built on
+// first use.
 type posLookup struct {
-	walk   []int
-	shared map[int]int
-	local  map[int]int
+	ev    *walkEval
+	local map[int]int
 }
 
 func (p *posLookup) of(z int) (int, bool) {
-	m := p.shared
+	m := p.ev.pos
 	if m == nil {
 		if p.local == nil {
-			p.local = make(map[int]int, len(p.walk))
-			for i, v := range p.walk {
+			p.local = make(map[int]int, len(p.ev.walk))
+			for i, v := range p.ev.walk {
 				p.local[v] = i
 			}
 		}
@@ -184,13 +193,14 @@ func (d *D) EdgeToWalk(sources []int, walk []int, fromEnd bool, st *Stats) (Hit,
 	if st == nil {
 		st = new(Stats)
 	}
-	ev := d.prepWalk(walk, st)
-	return d.edgeToWalk(sources, walk, fromEnd, ev, st)
+	ev := d.newWalkEval(walk)
+	ev.count(st)
+	return d.edgeToWalk(sources, fromEnd, ev, st)
 }
 
-func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
+func (d *D) edgeToWalk(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	if !d.parallelOver(len(sources)) {
-		return d.edgeToWalkSerial(sources, walk, fromEnd, ev, st)
+		return d.edgeToWalkSerial(sources, fromEnd, ev, st)
 	}
 	// Shard the source set over the worker pool: each shard reduces to its
 	// private best, then the shards are reduced under the same order. The
@@ -200,12 +210,12 @@ func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats
 		h  Hit
 		ok bool
 	}
-	d.ensureSharedPos(&ev, walk)
+	d.ensureSharedPos(ev)
 	w := d.mach.Workers()
 	bests := make([]shardBest, w)
 	stats := make([]Stats, w)
 	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.edgeToWalkSerial(sources[lo:hi], walk, fromEnd, ev, &stats[s])
+		h, ok := d.edgeToWalkSerial(sources[lo:hi], fromEnd, ev, &stats[s])
 		bests[s] = shardBest{h: h, ok: ok}
 	})
 	best := Hit{ZPos: -1}
@@ -223,12 +233,12 @@ func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats
 
 // edgeToWalkSerial is the one-goroutine scan over sources; st receives the
 // search-effort counters (a private shard accumulator under parallelism).
-func (d *D) edgeToWalkSerial(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
-	pl := posLookup{walk: walk, shared: ev.pos}
+func (d *D) edgeToWalkSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
+	pl := posLookup{ev: ev}
 	best := Hit{ZPos: -1}
 	have := false
 	for _, u := range sources {
-		if h, ok := d.bestFromVertex(u, ev.runs, walk, fromEnd, &pl, st); ok {
+		if h, ok := d.bestFromVertex(u, fromEnd, &pl, st); ok {
 			if !have || better(h, best, fromEnd) {
 				best, have = h, true
 			}
@@ -250,13 +260,14 @@ func (d *D) EdgeToWalkBySource(sources []int, walk []int, fromEnd bool, st *Stat
 	if st == nil {
 		st = new(Stats)
 	}
-	ev := d.prepWalk(walk, st)
-	return d.edgeToWalkBySource(sources, walk, fromEnd, ev, st)
+	ev := d.newWalkEval(walk)
+	ev.count(st)
+	return d.edgeToWalkBySource(sources, fromEnd, ev, st)
 }
 
-func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
+func (d *D) edgeToWalkBySource(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	if !d.parallelOver(len(sources)) {
-		return d.bySourceSerial(sources, walk, fromEnd, ev, st)
+		return d.bySourceSerial(sources, fromEnd, ev, st)
 	}
 	// Per shard: the first source (lowest index) with a hit; reduce to the
 	// lowest-index shard with one. Identical to the serial early-exit scan —
@@ -266,12 +277,12 @@ func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, s
 		h  Hit
 		ok bool
 	}
-	d.ensureSharedPos(&ev, walk)
+	d.ensureSharedPos(ev)
 	w := d.mach.Workers()
 	firsts := make([]shardFirst, w)
 	stats := make([]Stats, w)
 	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.bySourceSerial(sources[lo:hi], walk, fromEnd, ev, &stats[s])
+		h, ok := d.bySourceSerial(sources[lo:hi], fromEnd, ev, &stats[s])
 		firsts[s] = shardFirst{h: h, ok: ok}
 	})
 	for i := range stats {
@@ -287,10 +298,10 @@ func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, s
 
 // bySourceSerial is the one-goroutine first-hit scan in source order, the
 // BySource counterpart of edgeToWalkSerial.
-func (d *D) bySourceSerial(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
-	pl := posLookup{walk: walk, shared: ev.pos}
+func (d *D) bySourceSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
+	pl := posLookup{ev: ev}
 	for _, u := range sources {
-		if h, ok := d.bestFromVertex(u, ev.runs, walk, fromEnd, &pl, st); ok {
+		if h, ok := d.bestFromVertex(u, fromEnd, &pl, st); ok {
 			return h, true
 		}
 	}
@@ -314,20 +325,57 @@ type WalkQuery struct {
 	BySource bool
 }
 
+// empty reports whether q answers "no hit" without evaluation or counting:
+// an empty walk, or EdgeToWalk semantics with no sources.
+func (q WalkQuery) empty() bool {
+	return len(q.Walk) == 0 || (!q.BySource && len(q.Sources) == 0)
+}
+
 // WalkAnswer is the result of one WalkQuery.
 type WalkAnswer struct {
 	Hit Hit
 	OK  bool
 }
 
+// walkKey identifies a walk by its backing slice: first-element address
+// and length. Walks are not written during a batch, so equal keys mean
+// equal vertex sequences; a prefix of the same array differs in length
+// and gets its own view.
+type walkKey struct {
+	first *int
+	n     int
+}
+
+// batchViews returns the evaluation view of each query's walk, building
+// one view per distinct walk; empty queries get nil.
+func (d *D) batchViews(qs []WalkQuery) []*walkEval {
+	evs := make([]*walkEval, len(qs))
+	seen := make(map[walkKey]*walkEval)
+	for i, q := range qs {
+		if q.empty() {
+			continue
+		}
+		k := walkKey{&q.Walk[0], len(q.Walk)}
+		ev := seen[k]
+		if ev == nil {
+			ev = d.newWalkEval(q.Walk)
+			seen[k] = ev
+		}
+		evs[i] = ev
+	}
+	return evs
+}
+
 // EdgeToWalkBatch answers a batch of independent queries, equivalent to
-// issuing them one by one in order. Batches with at least as many queries
-// as workers are distributed across the worker pool (each query evaluated
-// serially within its worker); smaller batches — where sharding by query
-// would leave workers idle — run query-by-query, each parallelizing over
-// its own source set. Callers account the batch's model cost analytically
-// (one O(log n)-depth step); this method charges nothing. st is the
-// per-call Stats accumulator (nil discards).
+// issuing them one by one in order. Each distinct walk is split into runs
+// once, up front, and its view is shared by every query on it. Batches
+// with at least as many queries as workers are then distributed across the
+// worker pool (each query evaluated serially within its worker); smaller
+// batches — where sharding by query would leave workers idle — run
+// query-by-query, each parallelizing over its own source set. Callers
+// account the batch's model cost analytically (one O(log n)-depth step);
+// this method charges nothing. st is the per-call Stats accumulator (nil
+// discards).
 func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	out := make([]WalkAnswer, len(qs))
 	if len(qs) == 0 {
@@ -336,12 +384,18 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	if st == nil {
 		st = new(Stats)
 	}
+	evs := d.batchViews(qs)
 	if d.mach == nil || d.mach.Workers() == 1 || len(qs) < d.mach.Workers() {
 		for i, q := range qs {
+			ev := evs[i]
+			if ev == nil {
+				continue
+			}
+			ev.count(st)
 			if q.BySource {
-				out[i].Hit, out[i].OK = d.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, st)
+				out[i].Hit, out[i].OK = d.edgeToWalkBySource(q.Sources, q.FromEnd, ev, st)
 			} else {
-				out[i].Hit, out[i].OK = d.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, st)
+				out[i].Hit, out[i].OK = d.edgeToWalk(q.Sources, q.FromEnd, ev, st)
 			}
 		}
 		return out
@@ -351,20 +405,16 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	d.mach.ExecSharded(len(qs), func(s, lo, hi int) {
 		sst := &stats[s]
 		for i := lo; i < hi; i++ {
-			q := qs[i]
-			if len(q.Walk) == 0 {
+			q, ev := qs[i], evs[i]
+			if ev == nil {
 				continue
 			}
+			ev.count(sst)
 			if q.BySource {
-				ev := d.prepWalk(q.Walk, sst)
-				out[i].Hit, out[i].OK = d.bySourceSerial(q.Sources, q.Walk, q.FromEnd, ev, sst)
-				continue
+				out[i].Hit, out[i].OK = d.bySourceSerial(q.Sources, q.FromEnd, ev, sst)
+			} else {
+				out[i].Hit, out[i].OK = d.edgeToWalkSerial(q.Sources, q.FromEnd, ev, sst)
 			}
-			if len(q.Sources) == 0 {
-				continue
-			}
-			ev := d.prepWalk(q.Walk, sst)
-			out[i].Hit, out[i].OK = d.edgeToWalkSerial(q.Sources, q.Walk, q.FromEnd, ev, sst)
 		}
 	})
 	for i := range stats {
@@ -373,8 +423,10 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	return out
 }
 
-// bestFromVertex finds u's best hit across all runs plus patch edges.
-func (d *D) bestFromVertex(u int, runs []run, walk []int, fromEnd bool, pl *posLookup, st *Stats) (Hit, bool) {
+// bestFromVertex finds u's best hit across all runs of pl's walk plus
+// patch edges.
+func (d *D) bestFromVertex(u int, fromEnd bool, pl *posLookup, st *Stats) (Hit, bool) {
+	walk := pl.ev.walk
 	best := Hit{ZPos: -1}
 	have := false
 	take := func(h Hit) {
@@ -383,7 +435,7 @@ func (d *D) bestFromVertex(u int, runs []run, walk []int, fromEnd bool, pl *posL
 		}
 	}
 	if d.hasBaseNumbering(u) {
-		for _, r := range runs {
+		for _, r := range pl.ev.runs {
 			if r.patch {
 				continue
 			}

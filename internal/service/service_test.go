@@ -112,6 +112,44 @@ func TestServiceBasic(t *testing.T) {
 	}
 }
 
+// TestServiceMalformedDeleteEdgeKeepsShard sends DeleteEdge updates with
+// out-of-range endpoints: each must fail on its own future, and the shard
+// loop must go on applying updates to another graph it hosts.
+func TestServiceMalformedDeleteEdgeKeepsShard(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	mustCreate(t, s, "bad", graph.Path(32))
+	mustCreate(t, s, "good", graph.Path(32))
+	for _, e := range [][2]int{{1000, 3}, {-1, 3}, {3, 1000}} {
+		fut, err := s.Apply("bad", core.Update{Kind: core.DeleteEdge, U: e[0], V: e[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fut.Wait(); err == nil {
+			t.Fatalf("DeleteEdge(%d,%d) on a 32-vertex graph succeeded", e[0], e[1])
+		}
+	}
+	for i, u := range []core.Update{
+		{Kind: core.InsertEdge, U: 0, V: 31},
+		{Kind: core.DeleteEdge, U: 15, V: 16},
+	} {
+		fut, err := s.Apply("good", u)
+		if err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+		_, snap, err := fut.Wait()
+		if err != nil {
+			t.Fatalf("update %d after malformed deletes: %v", i, err)
+		}
+		if err := snap.Verify(); err != nil {
+			t.Fatalf("update %d: snapshot invalid: %v", i, err)
+		}
+	}
+	if err := s.Verify("bad"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceSnapshotIsolation pins a snapshot, applies updates, and checks
 // the old snapshot is untouched while new snapshots advance.
 func TestServiceSnapshotIsolation(t *testing.T) {
