@@ -13,9 +13,11 @@
 // channel of tasks — without any per-graph locking. Ownership is not fixed
 // for life, though: an explicit routing table can move a graph to any shard
 // while it serves (see Routing and migration). Apply enqueues one update
-// and returns a Future; ApplyBatch groups a cross-graph batch by shard and
-// enqueues one task per shard, so a round of k updates costs each shard one
-// mailbox receive instead of k.
+// as a round of one and returns a Future; ApplyBatch groups a cross-graph
+// batch by shard and enqueues one round per shard, so k updates cost each
+// shard one mailbox receive instead of k. Every round, of one or of many,
+// runs the same path: apply, WAL append, group commit, one publish per
+// touched graph, resolve.
 //
 // # Routing and migration
 //
@@ -77,8 +79,8 @@
 //
 // # Snapshot isolation
 //
-// Readers never touch a maintainer. After every applied update (or once per
-// graph per batch round) the shard loop publishes an immutable Snapshot —
+// Readers never touch a maintainer. Once per touched graph per round (after
+// every update, for Apply) the shard loop publishes an immutable Snapshot —
 // the current DFS tree, the current graph version, and the update's cost
 // counters — through an atomic pointer. Tree, IsAncestor, Path, Verify and
 // Snapshot load that pointer and work on the frozen pair, so reads never
@@ -212,9 +214,12 @@
 // Every applied update is traced stage by stage (obs.Trace: mailbox wait →
 // plan → reroot engine → D maintenance → publish, with outcome tags, delta
 // sizes and PRAM costs; the five stages are disjoint and sum to the
-// trace's total). Each shard retains its Config.SlowTraces slowest updates
-// in a lock-free-admission ring; SlowTraces returns the merged slowest-
-// first view.
+// trace's total). A round publishes each graph once, and that publish time
+// is split evenly across the graph's successful entries in the round: an
+// Apply carries the whole span, and the spans of a batch's entries sum to
+// their graph's publish. Each shard retains its Config.SlowTraces slowest
+// updates in a lock-free-admission ring; SlowTraces returns the merged
+// slowest-first view.
 //
 // DebugHandler serves all of it over HTTP — /debug/service (metrics +
 // traces as JSON), /debug/service/tenants (the HotGraphs ranking),

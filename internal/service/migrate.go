@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tree"
-	"repro/internal/wal"
 )
 
 // migPackage is one graph's frozen state in transit between shards. It is
@@ -114,11 +113,9 @@ func (s *Service) MigrateGraph(id GraphID, dst int) error {
 // fn's, or the submission failure when the shard is closed.
 func (s *Service) runOn(sh *shard, fn func() error) error {
 	var ferr error
-	fut := newFuture()
-	if err := sh.submit(task{kind: taskFunc, fn: func() { ferr = fn() }, fut: fut}); err != nil {
+	if _, err := call(sh, task{kind: taskFunc, fn: func() { ferr = fn() }}); err != nil {
 		return err
 	}
-	fut.Wait()
 	return ferr
 }
 
@@ -145,23 +142,14 @@ func (sh *shard) migFreeze(id GraphID, pkg *migPackage) error {
 	if err := sh.walGate(); err != nil {
 		return err
 	}
-	if w := sh.w; w != nil {
+	if sh.w != nil {
 		// The checkpoint at the handoff sequence is what makes the transfer
 		// durable: the source's future rotations re-checkpoint only its own
 		// graphs before truncating its log, so without this checkpoint the
 		// departed graph's only durable tail could be truncated away.
-		c := &wal.Checkpoint{
-			ID:     string(id),
-			Seq:    uint64(gs.dd.Updates()),
-			Pseudo: gs.dd.PseudoRoot(),
-			Graph:  gs.dd.Frozen(),
-			Tree:   gs.dd.Tree(),
-		}
-		if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
-			w.fail(err)
+		if err := sh.checkpointGraph(id, gs); err != nil {
 			return err
 		}
-		w.checkpoints.Add(1)
 	}
 	gs.migrating = true
 	pkg.g = gs.dd.Frozen()
@@ -191,9 +179,7 @@ func (sh *shard) migInstall(id GraphID, pkg *migPackage) error {
 	}
 	// Keep the shared machine's model processor budget at the per-instance
 	// maximum across tenants, as taskCreate does.
-	if p := 2*pkg.g.NumEdges() + pkg.g.NumVertexSlots() + 1; p > sh.mach.Procs() {
-		sh.mach.SetProcs(p)
-	}
+	sh.growProcs(pkg.g)
 	gs := &graphState{
 		meter: pkg.meter,
 		dd:    core.NewDynamicRestored(pkg.g, pkg.t, pkg.pseudo, int(pkg.seq), core.Options{Machine: sh.mach}),
@@ -215,15 +201,10 @@ func (sh *shard) migInstall(id GraphID, pkg *migPackage) error {
 // the coordinator for replay on the destination. Tasks still behind this one
 // in the mailbox find no graph and forward themselves via the routing table.
 func (sh *shard) migComplete(id GraphID) []task {
-	sh.mu.Lock()
-	gs := sh.graphs[id]
-	delete(sh.graphs, id)
-	sh.mu.Unlock()
+	gs := sh.retire(id)
 	if gs == nil {
 		return nil
 	}
-	sh.hot.Remove(string(id))
-	sh.recomputeProcs()
 	deferred := gs.deferred
 	gs.deferred = nil
 	gs.migrating = false
@@ -233,16 +214,25 @@ func (sh *shard) migComplete(id GraphID) []task {
 // migRemove tears down a copy installed by migInstall whose migration failed
 // to commit; the source copy is still authoritative.
 func (sh *shard) migRemove(id GraphID) {
+	if sh.retire(id) != nil {
+		sh.qcache.DropGraph(string(id))
+	}
+}
+
+// retire unregisters id from the shard and its hottest-graphs sketch, and
+// returns its state (nil when the shard does not hold it). A departed
+// tenant's m no longer divides model depth charges: the machine's processor
+// budget is recomputed over the survivors.
+func (sh *shard) retire(id GraphID) *graphState {
 	sh.mu.Lock()
-	_, ok := sh.graphs[id]
+	gs := sh.graphs[id]
 	delete(sh.graphs, id)
 	sh.mu.Unlock()
-	if !ok {
-		return
+	if gs != nil {
+		sh.hot.Remove(string(id))
+		sh.recomputeProcs()
 	}
-	sh.hot.Remove(string(id))
-	sh.qcache.DropGraph(string(id))
-	sh.recomputeProcs()
+	return gs
 }
 
 // migAbort unfreezes id after a failed migration and replays its parked
@@ -260,6 +250,26 @@ func (sh *shard) migAbort(id GraphID, headroom int) {
 	}
 }
 
+// sizedGraph is what the processor budget reads of a graph, mutable or
+// persistent.
+type sizedGraph interface {
+	NumEdges() int
+	NumVertexSlots() int
+}
+
+// modelProcs is a graph's per-instance model processor budget: 2m+n+1,
+// enough for one processor per adjacency entry, vertex slot and the pseudo
+// root.
+func modelProcs(g sizedGraph) int { return 2*g.NumEdges() + g.NumVertexSlots() + 1 }
+
+// growProcs raises the shared machine's model processor budget to g's
+// per-instance budget when g needs more than the shard's current maximum.
+func (sh *shard) growProcs(g sizedGraph) {
+	if p := modelProcs(g); p > sh.mach.Procs() {
+		sh.mach.SetProcs(p)
+	}
+}
+
 // recomputeProcs resets the machine's model processor budget to the
 // per-instance maximum over the shard's remaining graphs, so model depth
 // charges stop being divided by a departed tenant's m. The maintainers are
@@ -269,10 +279,7 @@ func (sh *shard) recomputeProcs() {
 	procs := 1
 	sh.mu.RLock()
 	for _, rest := range sh.graphs {
-		g := rest.dd.Frozen()
-		if p := 2*g.NumEdges() + g.NumVertexSlots() + 1; p > procs {
-			procs = p
-		}
+		procs = max(procs, modelProcs(rest.dd.Frozen()))
 	}
 	sh.mu.RUnlock()
 	sh.mach.SetProcs(procs)

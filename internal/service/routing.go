@@ -58,21 +58,17 @@ func (s *Service) RoutedGraphs() int { return len(*s.routes.Load()) }
 // exist. Lock-free throughout.
 func (s *Service) lookupState(id GraphID) (*shard, *graphState) {
 	sh := s.shardFor(id)
-	if gs := sh.lookup(id); gs != nil {
-		return sh, gs
-	}
-	for i := 0; i < maxForwardHops; i++ {
-		nsh := s.shardFor(id)
-		if nsh == sh {
-			// The route did not move: the graph is genuinely absent.
-			return sh, nil
-		}
-		sh = nsh
+	for hops := 0; ; hops++ {
 		if gs := sh.lookup(id); gs != nil {
 			return sh, gs
 		}
+		nsh := s.shardFor(id)
+		if nsh == sh || hops == maxForwardHops {
+			// The route did not move (or the hop cap is hit): absent.
+			return sh, nil
+		}
+		sh = nsh
 	}
-	return sh, nil
 }
 
 // setRouteLocked publishes a new routing table with id mapped to sh (or

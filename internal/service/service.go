@@ -329,31 +329,34 @@ func (s *Service) NumShards() int { return len(s.shards) }
 // snapshot (static DFS preprocessing runs on the shard loop). g is cloned;
 // the caller keeps ownership of its copy.
 func (s *Service) CreateGraph(id GraphID, g *graph.Graph) (*Snapshot, error) {
-	fut := newFuture()
-	if err := s.shardFor(id).submit(task{kind: taskCreate, id: id, g: g, fut: fut}); err != nil {
-		return nil, err
-	}
-	_, snap, err := fut.Wait()
-	return snap, err
+	return call(s.shardFor(id), task{kind: taskCreate, id: id, g: g})
 }
 
 // DropGraph removes id, waiting until the shard loop has retired it.
 // Snapshots already handed out stay valid.
 func (s *Service) DropGraph(id GraphID) error {
-	fut := newFuture()
-	if err := s.shardFor(id).submit(task{kind: taskDrop, id: id, fut: fut}); err != nil {
-		return err
-	}
-	_, _, err := fut.Wait()
+	_, err := call(s.shardFor(id), task{kind: taskDrop, id: id})
 	return err
+}
+
+// call submits t to sh with a fresh future and waits for its resolution.
+func call(sh *shard, t task) (*Snapshot, error) {
+	t.fut = newFuture()
+	if err := sh.submit(t); err != nil {
+		return nil, err
+	}
+	_, snap, err := t.fut.Wait()
+	return snap, err
 }
 
 // Apply submits one update for id and returns a Future resolved by the
 // owning shard once the update (and its snapshot publication) completes.
+// The update runs as a round of one, through the same path as ApplyBatch.
 // Apply blocks only when the shard's mailbox is full.
 func (s *Service) Apply(id GraphID, u core.Update) (*Future, error) {
 	fut := newFuture()
-	if err := s.shardFor(id).submit(task{kind: taskApply, id: id, upd: u, fut: fut}); err != nil {
+	entries := []batchEntry{{id: id, upd: u, fut: fut}}
+	if err := s.shardFor(id).submit(task{kind: taskBatch, entries: entries}); err != nil {
 		return nil, err
 	}
 	return fut, nil
@@ -478,11 +481,7 @@ func (s *Service) Verify(id GraphID) error {
 // replayed state must be indistinguishable from never having crashed). It
 // queues behind pending updates like any write.
 func (s *Service) CheckSynced(id GraphID) error {
-	fut := newFuture()
-	if err := s.shardFor(id).submit(task{kind: taskCheck, id: id, fut: fut}); err != nil {
-		return err
-	}
-	_, _, err := fut.Wait()
+	_, err := call(s.shardFor(id), task{kind: taskCheck, id: id})
 	return err
 }
 

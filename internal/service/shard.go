@@ -2,7 +2,7 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +20,7 @@ type taskKind int
 const (
 	taskCreate taskKind = iota
 	taskDrop
-	taskApply
-	taskBatch
+	taskBatch // one round of updates: Apply submits one entry, ApplyBatch one task per shard
 	taskCheck // run the D/graph/tree sync oracle on the shard loop
 	taskFunc  // run an arbitrary closure on the shard loop (migration steps, tests)
 )
@@ -31,13 +30,14 @@ const (
 const maxForwardHops = 16
 
 // task is one mailbox message. Exactly one of the payload fields is set,
-// per kind; fut is always non-nil for create/drop/apply, and batch entries
-// carry their own futures.
+// per kind; fut is always non-nil for create/drop/check, and batch entries
+// carry their own futures. A one-entry batch task split off a round to be
+// forwarded or parked alone also carries its entry's graph in id and its
+// future in fut.
 type task struct {
 	kind     taskKind
 	id       GraphID
 	g        *graph.Graph // create: initial graph (cloned by the maintainer)
-	upd      core.Update  // apply
 	entries  []batchEntry // batch
 	fn       func()       // func (migration protocol steps; tests: wedge or probe the loop)
 	fut      *Future
@@ -82,6 +82,12 @@ type graphState struct {
 	// flips (or back here on abort), preserving submission order.
 	migrating bool
 	deferred  []task
+
+	// Round accounting (shard loop only): the entries of the running update
+	// round that applied and logged, and the graph's one publish time in
+	// that round, which those entries' traces share (see runRound).
+	roundOK  int
+	roundPub time.Duration
 }
 
 // absorb folds one applied update's delta into the pending set.
@@ -174,6 +180,11 @@ type shard struct {
 	// update traces for inspection.
 	stageNanos [5]atomic.Int64
 	slow       *obs.SlowRing
+
+	// roundRes and roundTouched are runRound's reusable scratch: the
+	// admitted entries, and the index of each touched graph's first one.
+	roundRes     []roundEntry
+	roundTouched []int
 
 	// migrationsIn/Out count graphs this shard received from / handed to
 	// another shard through completed migrations.
@@ -270,12 +281,6 @@ func (sh *shard) forwardTask(t task) bool {
 	return true
 }
 
-// deferTask parks a task for a frozen (mid-migration) graph; the
-// coordinator replays the parked tasks in order once the handoff resolves.
-func (gs *graphState) deferTask(t task) {
-	gs.deferred = append(gs.deferred, t)
-}
-
 func (sh *shard) handle(t task, headroom int) {
 	switch t.kind {
 	case taskCreate:
@@ -292,31 +297,20 @@ func (sh *shard) handle(t task, headroom int) {
 		}
 		// Keep the shared machine's model processor budget at the paper's
 		// per-instance maximum (m processors) across tenants.
-		if p := 2*t.g.NumEdges() + t.g.NumVertexSlots() + 1; p > sh.mach.Procs() {
-			sh.mach.SetProcs(p)
-		}
+		sh.growProcs(t.g)
 		gs := &graphState{meter: &obs.TenantMeter{}, dd: core.New(t.g, core.Options{
 			RebuildD: true,
 			Headroom: headroom,
 			Machine:  sh.mach,
 		})}
-		if w := sh.w; w != nil {
+		if sh.w != nil {
 			// A graph exists durably iff its checkpoint does: write the v0
 			// checkpoint before acknowledging, so a crash can never have
 			// acknowledged a graph that recovery would not restore.
-			c := &wal.Checkpoint{
-				ID:     string(t.id),
-				Seq:    uint64(gs.dd.Updates()),
-				Pseudo: gs.dd.PseudoRoot(),
-				Graph:  gs.dd.Frozen(),
-				Tree:   gs.dd.Tree(),
-			}
-			if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
-				w.fail(err)
+			if err := sh.checkpointGraph(t.id, gs); err != nil {
 				t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, err))
 				return
 			}
-			w.checkpoints.Add(1)
 		}
 		snap := sh.publish(t.id, gs)
 		sh.mu.Lock()
@@ -325,34 +319,15 @@ func (sh *shard) handle(t task, headroom int) {
 		t.fut.resolve(-1, snap, nil)
 
 	case taskDrop:
-		gs := sh.lookup(t.id)
+		gs := sh.admit(t)
 		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
 			return
 		}
-		if gs.migrating {
-			gs.deferTask(t)
-			return
-		}
-		if err := sh.walGate(); err != nil {
-			t.fut.resolve(-1, gs.snap.Load(), err)
-			return
-		}
-		sh.mu.Lock()
-		delete(sh.graphs, t.id)
-		sh.mu.Unlock()
+		sh.retire(t.id)
 		if sh.svc != nil {
 			sh.svc.dropRoute(t.id)
 		}
 		sh.qcache.DropGraph(string(t.id))
-		sh.hot.Remove(string(t.id))
-		// taskCreate grew the machine's model processor budget to the
-		// per-instance maximum; recompute it over the survivors so model
-		// depth charges stop being divided by a departed tenant's m.
-		sh.recomputeProcs()
 		if w := sh.w; w != nil {
 			// Remove the graph durably: delete its checkpoints first, then
 			// rotate (re-checkpoint survivors + truncate the log) so its
@@ -361,184 +336,153 @@ func (sh *shard) handle(t task, headroom int) {
 			// could resurrect a dropped graph from checkpoint alone.
 			wal.DeleteCheckpoints(w.cfg.Dir, string(t.id))
 			if err := sh.checkpointShard(); err != nil {
-				w.fail(err)
 				t.fut.resolve(-1, gs.snap.Load(), fmt.Errorf("service: graph %q: %w", t.id, err))
 				return
 			}
 		}
 		t.fut.resolve(-1, gs.snap.Load(), nil)
 
-	case taskApply:
-		gs := sh.lookup(t.id)
-		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
-			return
-		}
-		if gs.migrating {
-			gs.deferTask(t)
-			return
-		}
-		if err := sh.walGate(); err != nil {
-			t.fut.resolve(-1, gs.snap.Load(), err)
-			return
-		}
-		var tr obs.Trace
-		v, err := sh.applyTraced(&tr, t.id, gs, t.upd, t.enqueued, 1)
-		if err != nil {
-			sh.rejected.Add(1)
-			gs.invalidatePending()
-			sh.sealTrace(&tr, 0, 0)
-			t.fut.resolve(-1, gs.snap.Load(), err)
-			return
-		}
-		tr.Seq = sh.updates.Add(1)
-		gs.absorb(gs.dd.LastDelta())
-		if sh.w != nil {
-			// Append + commit before publishing: readers must never see an
-			// update the log has not made durable. On failure the shard
-			// fail-stops without publishing — the in-memory maintainer has
-			// advanced, but no acknowledgment or snapshot exposes it.
-			werr := sh.walAppend(t.id, gs, t.upd)
-			if werr == nil {
-				if werr = sh.w.log.Commit(); werr != nil {
-					sh.w.fail(werr)
-				}
-			}
-			if werr != nil {
-				sh.sealTrace(&tr, 0, 0)
-				t.fut.resolve(-1, gs.snap.Load(), fmt.Errorf("service: graph %q: %w", t.id, werr))
-				return
-			}
-		}
-		p0 := time.Now()
-		snap := sh.publish(t.id, gs)
-		pd := time.Since(p0)
-		sh.publishHist.Record(pd)
-		sh.sealTrace(&tr, pd, snap.Version)
-		t.fut.resolve(v, snap, nil)
-		if sh.w != nil {
-			sh.walRoundEnd(1)
-		}
-
 	case taskBatch:
-		// One coalesced round: apply every entry in order, but publish each
-		// touched graph's snapshot once, at the end of the round. Futures
-		// resolve against that round-final snapshot (which includes their
-		// update — later entries of the same round may be included too).
-		type resolution struct {
-			fut    *Future
-			vertex int
-			gs     *graphState
-			err    error
-			tr     obs.Trace
-		}
-		sh.batchHist.RecordValue(int64(len(t.entries)))
-		resolutions := make([]resolution, 0, len(t.entries))
-		touched := make(map[GraphID]*graphState)
-		applied := 0
-		for _, en := range t.entries {
-			// Re-check the gate per entry: a WAL failure mid-round must stop
-			// applying before the maintainer diverges further from the log.
-			if err := sh.walGate(); err != nil {
-				en.fut.resolve(-1, nil, err)
-				continue
-			}
-			gs := sh.lookup(en.id)
-			if gs == nil {
-				// Unwrap the entry into a standalone apply so it can chase the
-				// graph's new shard alone; the rest of the round is unaffected.
-				et := task{kind: taskApply, id: en.id, upd: en.upd, fut: en.fut, hops: t.hops, enqueued: t.enqueued}
-				if sh.forwardTask(et) {
-					continue
-				}
-				en.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", en.id, ErrUnknownGraph))
-				continue
-			}
-			if gs.migrating {
-				gs.deferTask(task{kind: taskApply, id: en.id, upd: en.upd, fut: en.fut, enqueued: t.enqueued})
-				continue
-			}
-			r := resolution{fut: en.fut, gs: gs}
-			r.vertex, r.err = sh.applyTraced(&r.tr, en.id, gs, en.upd, t.enqueued, len(t.entries))
-			if r.err != nil {
-				sh.rejected.Add(1)
-				gs.invalidatePending()
-			} else {
-				r.tr.Seq = sh.updates.Add(1)
-				gs.absorb(gs.dd.LastDelta())
-				if sh.w != nil {
-					if werr := sh.walAppend(en.id, gs, en.upd); werr != nil {
-						r.err = fmt.Errorf("service: graph %q: %w", en.id, werr)
-					}
-				}
-				if r.err == nil {
-					touched[en.id] = gs
-					applied++
-				}
-			}
-			resolutions = append(resolutions, r)
-		}
-		if sh.w != nil && applied > 0 {
-			// Group commit: one round barrier covers every appended record
-			// before any future resolves. On failure nothing publishes —
-			// acknowledged-but-unlogged updates must never become visible —
-			// and every otherwise-successful entry resolves with the error.
-			if werr := sh.w.log.Commit(); werr != nil {
-				sh.w.fail(werr)
-				werr = fmt.Errorf("service: batch round: %w", werr)
-				for i := range resolutions {
-					if resolutions[i].err == nil {
-						resolutions[i].err = werr
-					}
-				}
-				touched = nil
-				applied = 0
-			}
-		}
-		for id, gs := range touched {
-			p0 := time.Now()
-			sh.publish(id, gs)
-			sh.publishHist.Record(time.Since(p0))
-		}
-		for i := range resolutions {
-			r := &resolutions[i]
-			// Batch traces carry no publish span: the round's one publish
-			// per graph is recorded in the publish histogram instead of
-			// being attributed to an arbitrary entry.
-			snap := r.gs.snap.Load()
-			version := uint64(0)
-			if r.err == nil && snap != nil {
-				version = snap.Version
-			}
-			sh.sealTrace(&r.tr, 0, version)
-			r.fut.resolve(r.vertex, snap, r.err)
-		}
-		if sh.w != nil {
-			sh.walRoundEnd(applied)
-		}
+		sh.runRound(t)
 
 	case taskCheck:
-		gs := sh.lookup(t.id)
-		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
-			return
+		if gs := sh.admit(t); gs != nil {
+			err := gs.dd.D().CheckSynced(gs.dd.Frozen(), gs.dd.Tree())
+			t.fut.resolve(-1, gs.snap.Load(), err)
 		}
-		if gs.migrating {
-			gs.deferTask(t)
-			return
-		}
-		err := gs.dd.D().CheckSynced(gs.dd.Frozen(), gs.dd.Tree())
-		t.fut.resolve(-1, gs.snap.Load(), err)
 
 	case taskFunc:
 		t.fn()
 		t.fut.resolve(-1, nil, nil)
+	}
+}
+
+// admit is the one admission step of every graph-addressed task (drop,
+// check, each update-round entry). It returns the graph's state when t may
+// run now; otherwise t was forwarded, rejected as unknown, parked behind a
+// migration freeze, or rejected by the WAL gate with the graph's last
+// snapshot, and admit returns nil. Ownership is settled before the gate, so
+// a fail-stopped shard still forwards stragglers for graphs it gave away.
+func (sh *shard) admit(t task) *graphState {
+	gs := sh.lookup(t.id)
+	if gs == nil {
+		if !sh.forwardTask(t) {
+			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
+		}
+		return nil
+	}
+	if gs.migrating {
+		// The coordinator replays the parked tasks in order once the
+		// handoff resolves.
+		gs.deferred = append(gs.deferred, t)
+		return nil
+	}
+	if err := sh.walGate(); err != nil {
+		t.fut.resolve(-1, gs.snap.Load(), err)
+		return nil
+	}
+	return gs
+}
+
+// roundEntry is one admitted entry of an update round, awaiting the
+// round's commit and publication.
+type roundEntry struct {
+	id     GraphID
+	gs     *graphState
+	fut    *Future
+	vertex int
+	err    error
+	tr     obs.Trace
+}
+
+// runRound runs one update round — the only write path for live updates.
+// Every entry is admitted and applied in order and appended to the WAL;
+// then one group commit covers the round, each touched graph's snapshot is
+// published once, and the futures resolve against those round-final
+// snapshots (which include their update; later entries of the same round
+// may be included too). Apply is a round of one.
+func (sh *shard) runRound(t task) {
+	sh.batchHist.RecordValue(int64(len(t.entries)))
+	// Only the shard goroutine runs rounds, so its scratch is reused.
+	res, touched := sh.roundRes[:0], sh.roundTouched[:0]
+	applied := 0
+	for i := range t.entries {
+		en := &t.entries[i]
+		// An entry that must chase its graph's new shard or wait out a
+		// migration leaves alone, as a round of one.
+		gs := sh.admit(task{kind: taskBatch, id: en.id, entries: t.entries[i : i+1 : i+1],
+			fut: en.fut, hops: t.hops, enqueued: t.enqueued})
+		if gs == nil {
+			continue
+		}
+		res = append(res, roundEntry{id: en.id, gs: gs, fut: en.fut})
+		r := &res[len(res)-1]
+		r.vertex, r.err = sh.applyTraced(&r.tr, en.id, gs, en.upd, t.enqueued, len(t.entries))
+		if r.err != nil {
+			sh.rejected.Add(1)
+			gs.invalidatePending()
+			continue
+		}
+		r.tr.Seq = sh.updates.Add(1)
+		gs.absorb(gs.dd.LastDelta())
+		if sh.w != nil {
+			if werr := sh.walAppend(en.id, gs, en.upd); werr != nil {
+				r.err = fmt.Errorf("service: graph %q: %w", en.id, werr)
+				continue
+			}
+		}
+		if gs.roundOK == 0 {
+			touched = append(touched, len(res)-1)
+		}
+		gs.roundOK++
+		applied++
+	}
+	if sh.w != nil && applied > 0 {
+		// Group commit: one barrier covers every appended record before any
+		// future resolves. On failure nothing publishes — readers must never
+		// see an update the log has not made durable — and every
+		// otherwise-successful entry resolves with the error. The
+		// maintainers have advanced, but no acknowledgment or snapshot
+		// exposes it.
+		if werr := sh.w.log.Commit(); werr != nil {
+			sh.w.fail(werr)
+			werr = fmt.Errorf("service: update round: %w", werr)
+			for i := range res {
+				if res[i].err == nil {
+					res[i].err = werr
+				}
+			}
+			for _, i := range touched {
+				res[i].gs.roundOK = 0
+			}
+			touched, applied = touched[:0], 0
+		}
+	}
+	for _, i := range touched {
+		p0 := time.Now()
+		sh.publish(res[i].id, res[i].gs)
+		res[i].gs.roundPub = time.Since(p0)
+		sh.publishHist.Record(res[i].gs.roundPub)
+	}
+	for i := range res {
+		r := &res[i]
+		snap := r.gs.snap.Load()
+		var pub time.Duration
+		var version uint64
+		if r.err == nil {
+			// An even share of the graph's publish time; the last entry takes
+			// the rounding remainder, so a round of one carries all of it.
+			pub, version = r.gs.roundPub/time.Duration(r.gs.roundOK), snap.Version
+			r.gs.roundPub -= pub
+			r.gs.roundOK--
+		}
+		sh.sealTrace(&r.tr, pub, version)
+		r.fut.resolve(r.vertex, snap, r.err)
+	}
+	clear(res)
+	sh.roundRes, sh.roundTouched = res[:0], touched[:0]
+	if sh.w != nil {
+		sh.walRoundEnd(applied)
 	}
 }
 
@@ -641,16 +585,9 @@ func dedupSorted(s []int) []int {
 	if len(s) == 0 {
 		return nil
 	}
-	out := append([]int(nil), s...)
-	sort.Ints(out)
-	j := 0
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[j] {
-			j++
-			out[j] = out[i]
-		}
-	}
-	return out[:j+1]
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // queryHandle resolves snap's version-pinned analytics handle through the

@@ -97,10 +97,8 @@ type shardWAL struct {
 }
 
 func (w *shardWAL) err() error {
-	if e, _ := w.broken.Load().(error); e != nil {
-		return e
-	}
-	return nil
+	e, _ := w.broken.Load().(error)
+	return e
 }
 
 // fail records the first write-path error (later ones keep the original).
@@ -383,16 +381,14 @@ func (sh *shard) walRoundEnd(applied int) {
 	w := sh.w
 	w.since += applied
 	if w.since >= w.cfg.CheckpointEvery && w.err() == nil {
-		if err := sh.checkpointShard(); err != nil {
-			w.fail(err)
-		}
+		_ = sh.checkpointShard() // a failure has fail-stopped the shard
 	}
 }
 
 // checkpointShard durably checkpoints every graph on the shard, then
 // truncates the log — every record is now covered by a checkpoint. Runs on
 // the shard goroutine at a publish boundary, so each maintainer's state is
-// exactly its published snapshot.
+// exactly its published snapshot. A failure fail-stops the shard.
 func (sh *shard) checkpointShard() error {
 	w := sh.w
 	sh.mu.RLock()
@@ -403,18 +399,9 @@ func (sh *shard) checkpointShard() error {
 	sh.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		gs := sh.lookup(id)
-		c := &wal.Checkpoint{
-			ID:     string(id),
-			Seq:    uint64(gs.dd.Updates()),
-			Pseudo: gs.dd.PseudoRoot(),
-			Graph:  gs.dd.Frozen(),
-			Tree:   gs.dd.Tree(),
-		}
-		if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
+		if err := sh.checkpointGraph(id, sh.lookup(id)); err != nil {
 			return err
 		}
-		w.checkpoints.Add(1)
 	}
 	if w.holdReset {
 		if !w.barrier() {
@@ -428,9 +415,28 @@ func (sh *shard) checkpointShard() error {
 		w.holdReset = false
 	}
 	if err := w.log.Reset(); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.since = 0
+	return nil
+}
+
+// checkpointGraph durably writes gs's current maintainer state as id's
+// checkpoint, superseding its older ones. A write failure fail-stops the
+// shard.
+func (sh *shard) checkpointGraph(id GraphID, gs *graphState) error {
+	w := sh.w
+	c := &wal.Checkpoint{
+		ID:     string(id),
+		Seq:    uint64(gs.dd.Updates()),
+		Pseudo: gs.dd.PseudoRoot(),
+		Graph:  gs.dd.Frozen(),
+		Tree:   gs.dd.Tree(),
+	}
+	if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
+		return w.fail(err)
+	}
+	w.checkpoints.Add(1)
 	return nil
 }
 
@@ -453,9 +459,7 @@ func (sh *shard) recoverReplay() {
 		snap := gs.snap.Load()
 		// Keep the shared machine's model processor budget at the paper's
 		// per-instance maximum, as taskCreate does.
-		if p := 2*snap.Graph.NumEdges() + snap.Graph.NumVertexSlots() + 1; p > sh.mach.Procs() {
-			sh.mach.SetProcs(p)
-		}
+		sh.growProcs(snap.Graph)
 		gs.dd = core.NewDynamicRestored(snap.Graph, snap.Tree, snap.PseudoRoot, int(snap.Version), core.Options{Machine: sh.mach})
 		for _, rec := range w.backlog[id] {
 			have := uint64(gs.dd.Updates())
@@ -497,7 +501,6 @@ func (sh *shard) recoverReplay() {
 		// Fold the replayed tail into fresh checkpoints and truncate the
 		// log so the next restart replays nothing.
 		if err := sh.checkpointShard(); err != nil {
-			w.fail(err)
 			ok = false
 		}
 	}

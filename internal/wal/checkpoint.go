@@ -122,12 +122,21 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil || m64 > 1<<40 {
 		return nil, fmt.Errorf("%w: bad edge count", ErrCorrupt)
 	}
+	// Every degree and every parent below takes at least one byte, so
+	// counts past the remaining input are corrupt; rejecting them before
+	// allocating bounds the decoder's memory by its input size.
+	if slots > len(p) || c.Pseudo+1 > len(p) {
+		return nil, fmt.Errorf("%w: %d slots and pseudo root %d overrun %d remaining bytes", ErrCorrupt, slots, c.Pseudo, len(p))
+	}
 	deg := make([]int, slots)
 	total := 0
 	for v := range deg {
 		d, err := next()
 		if err != nil {
 			return nil, err
+		}
+		if d > uint64(len(p)) { // each neighbor takes at least one byte
+			return nil, fmt.Errorf("%w: degree %d of %d overruns the input", ErrCorrupt, d, v)
 		}
 		deg[v] = int(d)
 		total += int(d)
@@ -153,10 +162,10 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := int(w64)
-			if w >= slots || !alive(w) {
-				return nil, fmt.Errorf("%w: edge (%d,%d) leaves the vertex set", ErrCorrupt, v, w)
+			if w64 >= uint64(slots) || !alive(int(w64)) {
+				return nil, fmt.Errorf("%w: edge (%d,%d) leaves the vertex set", ErrCorrupt, v, w64)
 			}
+			w := int(w64)
 			if v < w { // each edge appears in both rows; insert once
 				if err := g.InsertEdge(v, w); err != nil {
 					return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

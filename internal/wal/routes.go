@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -82,6 +83,11 @@ func decodeRouteFrame(data []byte) (RouteRecord, int, error) {
 	p = p[k:]
 	if len(p) != 0 {
 		return r, 0, fmt.Errorf("%w: %d trailing route payload bytes", ErrCorrupt, len(p))
+	}
+	// Accept only the canonical encoding (minimal varints), so a decoded
+	// frame always re-encodes to the bytes it was read from.
+	if !bytes.Equal(appendRouteFrame(nil, &r), data[:consumed]) {
+		return r, 0, fmt.Errorf("%w: non-canonical route frame", ErrCorrupt)
 	}
 	return r, consumed, nil
 }

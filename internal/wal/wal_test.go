@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -392,6 +395,37 @@ func TestCheckpointCorruption(t *testing.T) {
 		if !bytes.Equal(got.Encode(), data) {
 			t.Fatalf("pos %d: corrupt checkpoint decoded to different state", pos)
 		}
+	}
+}
+
+// ckptFrame wraps payload in a valid checkpoint header: magic, length and
+// CRC, so the decoder gets past its framing checks.
+func ckptFrame(payload []byte) []byte {
+	out := make([]byte, 16, 16+len(payload))
+	copy(out, ckptMagic[:])
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[12:], crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// TestCheckpointDecodeBoundsAlloc feeds a 24-byte, CRC-valid checkpoint
+// claiming pseudo root 2^22 with no parent bytes behind it. The decoder must
+// reject it as corrupt before allocating a parent array for that claim.
+func TestCheckpointDecodeBoundsAlloc(t *testing.T) {
+	// ID length 0, Seq 0, 0 slots, pseudo 2^22 (4-byte varint), 0 edges.
+	data := ckptFrame([]byte{0, 0, 0, 0x80, 0x80, 0x80, 0x02, 0})
+	if len(data) != 24 {
+		t.Fatalf("blob is %d bytes, want 24", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeCheckpoint(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding 24 bytes allocated %d bytes", grew)
 	}
 }
 
